@@ -18,6 +18,7 @@ from typing import Dict, Generator, Optional
 from repro.core.layers.base import ProxyLayer
 from repro.core.metadata import FileMetadata, METADATA_SUFFIX, metadata_name_for
 from repro.nfs.protocol import FileHandle, NfsProc, NfsReply, NfsRequest, NfsStatus
+from repro.storage.vfs import CHUNK_SIZE, ZERO_CHUNK
 
 __all__ = ["ZeroMapLayer"]
 
@@ -93,12 +94,15 @@ class ZeroMapLayer(ProxyLayer):
         meta = yield from self.resolve(fh)
         if meta is not None and meta.covers_read(offset, count):
             # Zero-filled blocks: reconstruct locally, nothing on the wire.
+            # A full block is the shared zero chunk, not a fresh buffer
+            # that the client's buffer cache would then keep.
             end = min(offset + count, max(meta.file_size,
                                           self.stack.local_size(fh)))
             n = max(end - offset, 0)
             self.stats.zero_filtered_reads += 1
             return NfsReply(NfsProc.READ, NfsStatus.OK, fh=fh,
-                            data=bytes(n), count=n,
+                            data=ZERO_CHUNK if n == CHUNK_SIZE else bytes(n),
+                            count=n,
                             eof=offset + n >= meta.file_size)
         return (yield from self.next.handle(request))
 

@@ -13,13 +13,21 @@ files: recently accessed chunks cost no disk time.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from repro.sim import Environment
 from repro.storage.disk import Disk, DiskParams, SCSI_2003
 from repro.storage.vfs import CHUNK_SIZE, FileSystem, Inode
 
 __all__ = ["LocalFileSystem"]
+
+#: Page-cache keys pack ``(fileid, chunk index)`` into one int,
+#: ``fileid << _INDEX_BITS | index``: a small int per tracked page
+#: instead of a tuple holding two.  A 32-bit index covers files up to
+#: 32 TB at the 8 KB chunk size.
+_INDEX_BITS = 32
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
+_MAX_INDEXED_BYTES = (1 << _INDEX_BITS) * CHUNK_SIZE
 
 
 class LocalFileSystem:
@@ -51,17 +59,9 @@ class LocalFileSystem:
         self.readahead_fills = 0
 
     # -- page cache ------------------------------------------------------------
-    def _cache_key(self, inode: Inode, chunk_index: int):
-        return (inode.fileid, chunk_index)
-
-    def _cache_touch(self, key) -> bool:
-        """Return True on hit; refresh LRU position."""
-        if key in self._page_cache:
-            self._page_cache.move_to_end(key)
-            self.cache_hits += 1
-            return True
-        self.cache_misses += 1
-        return False
+    def _cache_key(self, inode: Inode, chunk_index: int) -> int:
+        assert 0 <= chunk_index <= _INDEX_MASK, chunk_index
+        return (inode.fileid << _INDEX_BITS) | chunk_index
 
     def _cache_insert(self, key) -> None:
         self._page_cache[key] = True
@@ -72,6 +72,14 @@ class LocalFileSystem:
     def drop_caches(self) -> None:
         """Forget all cached pages (cold-cache experiment setup)."""
         self._page_cache.clear()
+
+    def cached_chunks(self, inode: Inode) -> Iterator[int]:
+        """Yield the chunk indices of ``inode`` held in the page cache,
+        least recently used first."""
+        fid = inode.fileid
+        for key in self._page_cache:
+            if key >> _INDEX_BITS == fid:
+                yield key & _INDEX_MASK
 
     # -- timed I/O ---------------------------------------------------------------
     def timed_read(self, path: str, offset: int, count: int) -> Generator:
@@ -103,11 +111,15 @@ class LocalFileSystem:
         end = min(offset + count, size)
         fid = inode.fileid
         sequential = self._scan_pos.get(fid) == offset
+        # Every chunk touched below (readahead included) lies inside
+        # the file, so one check bounds every key's index.
+        assert size <= _MAX_INDEXED_BYTES, size
+        base = fid << _INDEX_BITS
         # Hot loop: one iteration per chunk of every timed read in the
-        # system.  The per-chunk cache bookkeeping is inlined (key
-        # tuples built in place, LRU methods bound once, hit/miss
-        # counters accumulated locally) — the chunk walk order and the
-        # disk yields are unchanged, so timing is identical.
+        # system.  The per-chunk cache bookkeeping is inlined (keys
+        # built in place, LRU methods bound once, hit/miss counters
+        # accumulated locally) — the chunk walk order and the disk
+        # yields are unchanged, so timing is identical.
         cache = self._page_cache
         move_to_end = cache.move_to_end
         popitem = cache.popitem
@@ -118,7 +130,7 @@ class LocalFileSystem:
         miss_start: Optional[int] = None
         while pos < end:
             idx = pos // CHUNK_SIZE
-            key = (fid, idx)
+            key = base | idx
             chunk_end = (idx + 1) * CHUNK_SIZE
             if chunk_end > end:
                 chunk_end = end
@@ -144,7 +156,7 @@ class LocalFileSystem:
                 read_end = min(end + self.readahead_bytes, size)
                 ra_pos = end
                 while ra_pos < read_end:
-                    key = (fid, ra_pos // CHUNK_SIZE)
+                    key = base | (ra_pos // CHUNK_SIZE)
                     cache[key] = True
                     move_to_end(key)
                     while len(cache) > capacity:
@@ -167,16 +179,17 @@ class LocalFileSystem:
         """Process: like :meth:`timed_write` but addressed by inode."""
         inode.data.write(offset, data)
         inode.touch()
-        fid = inode.fileid
         cache = self._page_cache
         move_to_end = cache.move_to_end
         popitem = cache.popitem
         capacity = self._page_cache_capacity
         pos = offset
         end = offset + len(data)
+        assert end <= _MAX_INDEXED_BYTES, end
+        base = inode.fileid << _INDEX_BITS
         while pos < end:
             idx = pos // CHUNK_SIZE
-            key = (fid, idx)
+            key = base | idx
             cache[key] = True
             move_to_end(key)
             while len(cache) > capacity:

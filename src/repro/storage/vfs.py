@@ -24,12 +24,16 @@ __all__ = [
     "FsError",
     "Inode",
     "SparseFile",
+    "ZERO_CHUNK",
 ]
 
 #: Internal chunk granularity of sparse files (bytes).
 CHUNK_SIZE = 8192
 
-_ZERO_CHUNK = bytes(CHUNK_SIZE)
+#: The one all-zero chunk.  ``bytes`` is immutable, so every full-chunk
+#: zero answer (sparse holes, zero content, zero-filtered reads) hands
+#: back this object instead of allocating its own copy.
+ZERO_CHUNK = bytes(CHUNK_SIZE)
 
 
 class FsError(Exception):
@@ -75,7 +79,7 @@ class SparseFile:
             return data
         if self.source is not None:
             return self.source.chunk(index)
-        return _ZERO_CHUNK
+        return ZERO_CHUNK
 
     def chunk_is_zero(self, index: int) -> bool:
         """True when chunk ``index`` currently holds only zero bytes."""
@@ -84,7 +88,7 @@ class SparseFile:
             # Full chunks compare against the zero constant (memcmp with
             # early exit) instead of counting every zero byte.
             if len(data) == CHUNK_SIZE:
-                return data == _ZERO_CHUNK
+                return data == ZERO_CHUNK
             return data.count(0) == len(data)
         if self.source is not None:
             return self.source.is_zero(index)
@@ -135,7 +139,7 @@ class SparseFile:
             # store the caller's immutable bytes directly, skipping the
             # memoryview walk and its re-buffering.
             idx = offset // CHUNK_SIZE
-            if self.source is None and data == _ZERO_CHUNK:
+            if self.source is None and data == ZERO_CHUNK:
                 self._chunks.pop(idx, None)
             else:
                 self._chunks[idx] = data
@@ -150,7 +154,7 @@ class SparseFile:
             take = min(CHUNK_SIZE - within, len(remaining))
             if within == 0 and take == CHUNK_SIZE:
                 blob = bytes(remaining[:take])
-                if self.source is None and blob == _ZERO_CHUNK:
+                if self.source is None and blob == ZERO_CHUNK:
                     # All-zero chunk in a zero-filled file: stay sparse, so
                     # copying a mostly-zero VM memory image costs only its
                     # payload.

@@ -27,7 +27,8 @@ from repro.core.metadata import (
     FileMetadata,
     generate_memory_state_metadata,
 )
-from repro.storage.vfs import CHUNK_SIZE, ContentSource, FileSystem, Inode, SparseFile
+from repro.storage.vfs import (CHUNK_SIZE, ZERO_CHUNK, ContentSource, FileSystem,
+                               Inode, SparseFile)
 
 __all__ = [
     "GuestFile",
@@ -37,10 +38,6 @@ __all__ = [
     "make_memory_state",
     "make_virtual_disk",
 ]
-
-
-#: Shared all-zero chunk — immutable, so every zero read can be one object.
-_ZERO_CHUNK = bytes(CHUNK_SIZE)
 
 
 def _mix(seed: int, index: int) -> int:
@@ -85,7 +82,7 @@ class RandomContent(ContentSource):
 
     def chunk(self, index: int) -> bytes:
         if _mix(self.seed, index) < self._threshold:
-            return _ZERO_CHUNK
+            return ZERO_CHUNK
         memo = self._memo
         data = memo.get(index)
         if data is not None:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.metadata import MetadataAction, generate_metadata
 from repro.core.session import Scenario
-from repro.nfs.protocol import NfsProc
+from repro.nfs.protocol import NfsProc, NfsRequest
+from repro.storage.vfs import CHUNK_SIZE, ZERO_CHUNK
 from tests.core.harness import Rig
 
 
@@ -54,6 +55,30 @@ def test_zero_blocks_filtered_locally():
     value, _ = rig.run(proc(rig.env))
     assert value == bytes(8192)
     assert rig.session.client_proxy.stats.zero_filtered_reads >= 1
+
+
+def test_zero_filtered_read_returns_the_shared_zero_chunk():
+    """A full zero block is answered with the one immutable zero chunk,
+    not a fresh buffer; a partial block gets its own zeros."""
+    rig = Rig()
+    meta = rig.image.generate_metadata()
+    zero_block = min(meta.zero_blocks)
+    layer = rig.session.client_proxy.layer("metadata")
+
+    def proc(env):
+        f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
+        full = yield env.process(layer.handle(NfsRequest(
+            NfsProc.READ, fh=f.fh, offset=zero_block * CHUNK_SIZE,
+            count=CHUNK_SIZE)))
+        part = yield env.process(layer.handle(NfsRequest(
+            NfsProc.READ, fh=f.fh, offset=zero_block * CHUNK_SIZE,
+            count=100)))
+        return full, part
+
+    (full, part), _ = rig.run(proc(rig.env))
+    assert full.ok and full.data is ZERO_CHUNK
+    assert part.ok and part.data == bytes(100)
+    assert layer.stats.zero_filtered_reads == 2
 
 
 def test_zero_filter_count_matches_metadata():

@@ -75,7 +75,7 @@ def test_readahead_does_not_cross_eof():
     inode = lfs.fs.create("/small", size=size)
     run(env, sequential_read(lfs, inode, size))
     # All cached chunks are within the file.
-    for fileid, idx in lfs._page_cache:
+    for idx in lfs.cached_chunks(inode):
         assert idx * CHUNK_SIZE < size
 
 

@@ -1,10 +1,13 @@
 """Integration tests for the cloning procedure over GVFS."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.session import GvfsSession, LocalMount, Scenario, ServerEndpoint
 from repro.net.topology import Testbed
 from repro.sim import Environment
+from repro.storage.vfs import CHUNK_SIZE
 from repro.vm.cloning import CloneManager
 from repro.vm.image import VmConfig, VmImage
 from repro.vm.monitor import VmMonitor
@@ -12,14 +15,15 @@ from tests.core.harness import SMALL_CACHE
 
 
 class CloneRig:
-    def __init__(self, metadata=True, image_mb=2):
+    def __init__(self, metadata=True, image_mb=2, zero_fraction=0.92):
         self.testbed = Testbed(Environment(), n_compute=1)
         self.env = self.testbed.env
         self.endpoint = ServerEndpoint(self.env, self.testbed.wan_server)
         cfg = VmConfig(name="golden", memory_mb=image_mb, disk_gb=0.01,
                        seed=21, persistent=False)
         self.image = VmImage.create(self.endpoint.export.fs,
-                                    "/images/golden", cfg)
+                                    "/images/golden", cfg,
+                                    zero_fraction=zero_fraction)
         if metadata:
             self.image.generate_metadata()
         self.session = GvfsSession.build(self.testbed, Scenario.WAN_CACHED,
@@ -142,3 +146,28 @@ def test_clone_without_resume():
                                        resume=False))
     assert result.vm is None
     assert "resume" not in result.phases
+
+
+def test_clone_memory_tracks_payload_not_zero_blocks():
+    """Cloning a zero-rich image with meta-data costs host memory in
+    proportion to its non-zero payload: every zero-filtered block is
+    the one shared zero chunk, however many of them the client caches."""
+    # A first small clone imports everything the clone path touches
+    # lazily, so the measured growth below is the clone's alone.
+    warm = CloneRig(image_mb=1, zero_fraction=0.9)
+    warm.run(warm.manager.clone("/images/golden", "/clones/c1"))
+    rig = CloneRig(image_mb=16, zero_fraction=0.9)
+    memory = rig.image.memory_inode.data
+    payload = sum(CHUNK_SIZE for i in range(memory.n_chunks())
+                  if not memory.chunk_is_zero(i))
+    assert 0 < payload < memory.size // 5
+
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        rig.run(rig.manager.clone("/images/golden", "/clones/c1"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rig.session.client_proxy.stats.zero_filtered_reads > 0
+    assert peak - base < 2 * payload
