@@ -253,7 +253,7 @@ def test_ablation_cache_capacity_and_associativity(benchmark, save_table):
 
         testbed.env.process(driver(testbed.env))
         testbed.env.run()
-        stats = session.client_proxy.stats
+        stats = session.client_proxy.layer("block-cache").stats
         total = stats.block_cache_hits + stats.block_cache_misses
         return stats.block_cache_hits / total
 

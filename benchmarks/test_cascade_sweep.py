@@ -10,7 +10,7 @@ the full-scale sweep):
   constrained first intermediate level, where one-shot scan images
   contend with the hot golden image.
 * Depth-1 and depth-2 cascades are bit-identical in simulated time to
-  the plain caching proxy and the literal SecondLevelCache.
+  the plain caching proxy and the hand-wired second-level cache.
 """
 
 from conftest import once

@@ -224,8 +224,9 @@ def test_extension_shared_cache(benchmark, save_table):
                         yield env.process(f.read(b * 8192, 8192))
 
             _, t = drive(testbed, job(testbed.env))
-            forwarded = sum(s.client_proxy.stats.forwarded
-                            for s in sessions)
+            forwarded = sum(
+                s.client_proxy.layer("upstream-rpc").stats.forwarded
+                for s in sessions)
             return forwarded, t
 
         box["private"], box["private_t"] = total_forwarded(False)

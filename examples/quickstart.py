@@ -55,14 +55,17 @@ def main() -> None:
     env.run()
 
     # 5. What the extensions did for us.
-    stats = session.client_proxy.stats
-    channel = session.client_proxy.channel
-    print(f"zero-filtered reads : {stats.zero_filtered_reads}")
-    print(f"file-cache reads    : {stats.file_cache_reads}")
-    print(f"channel fetches     : {stats.channel_fetches} "
+    proxy = session.client_proxy
+    files = proxy.layer("file-channel").stats
+    channel = proxy.channel
+    print(f"zero-filtered reads : "
+          f"{proxy.layer('metadata').stats.zero_filtered_reads}")
+    print(f"file-cache reads    : {files.file_cache_reads}")
+    print(f"channel fetches     : {files.channel_fetches} "
           f"({channel.bytes_on_wire >> 10} KB on the wire for "
           f"{channel.bytes_logical >> 20} MB of state)")
-    print(f"forwarded upstream  : {stats.forwarded} calls")
+    print(f"forwarded upstream  : "
+          f"{proxy.layer('upstream-rpc').stats.forwarded} calls")
 
 
 if __name__ == "__main__":

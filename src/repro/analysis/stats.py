@@ -105,13 +105,19 @@ def collect_session_stats(session) -> SessionStats:
         stats.buffer_cache_misses = mount.cache.misses
     proxy = getattr(session, "client_proxy", None)
     if proxy is not None:
-        stats.zero_filtered_reads = proxy.stats.zero_filtered_reads
-        stats.block_cache_hits = proxy.stats.block_cache_hits
-        stats.block_cache_misses = proxy.stats.block_cache_misses
-        stats.file_cache_reads = proxy.stats.file_cache_reads
-        stats.absorbed_writes = proxy.stats.absorbed_writes
-        stats.writebacks = proxy.stats.writebacks
-        stats.channel_fetches = proxy.stats.channel_fetches
+        snap = proxy.stats_snapshot()
+        zero = snap.get("metadata", {})
+        blocks = snap.get("block-cache", {})
+        files = snap.get("file-channel", {})
+        stats.zero_filtered_reads = zero.get("zero_filtered_reads", 0)
+        stats.block_cache_hits = blocks.get("block_cache_hits", 0)
+        stats.block_cache_misses = blocks.get("block_cache_misses", 0)
+        stats.file_cache_reads = files.get("file_cache_reads", 0)
+        # Both caches absorb writes; the session total is their sum.
+        stats.absorbed_writes = (files.get("absorbed_writes", 0)
+                                 + blocks.get("absorbed_writes", 0))
+        stats.writebacks = blocks.get("writebacks", 0)
+        stats.channel_fetches = files.get("channel_fetches", 0)
         if proxy.channel is not None:
             stats.channel_bytes_on_wire = proxy.channel.bytes_on_wire
             stats.channel_bytes_logical = proxy.channel.bytes_logical

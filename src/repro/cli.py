@@ -34,7 +34,8 @@ Commands
     (lru/lfu/2q) over cold-clone and kernel-compile workloads,
     recording per-level hit ratios, and check the cascade guarantees:
     every level serves hits, and depth-1/depth-2 cascades match the
-    plain proxy / SecondLevelCache bit-identically on simulated time.
+    plain proxy / an explicitly wired second-level cache
+    bit-identically on simulated time.
     ``--out results/BENCH_pr5.json`` archives the sweep; exit code 1
     when a guarantee is violated (the CI cascade-smoke gate).
 ``farmbench``
@@ -157,7 +158,7 @@ def _bench_zero() -> str:
 
     testbed.env.process(driver(testbed.env))
     testbed.env.run()
-    stats = session.client_proxy.stats
+    stats = session.client_proxy.layer("metadata").stats
     reads = session.mount.rpc.stats.by_proc.get("READ", 0)
     return (f"512 MB post-boot resume: {reads} NFS reads issued, "
             f"{stats.zero_filtered_reads} filtered as zero-filled "
@@ -537,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cascadebench",
         help="sweep cache-cascade depth x eviction policy and check "
              "the cascade guarantees (every level serves hits; "
-             "depth-1/2 match the plain proxy / SecondLevelCache "
-             "bit-identically)")
+             "depth-1/2 match the plain proxy / an explicitly wired "
+             "second-level cache bit-identically)")
     cascade.add_argument("--depths", default=None, metavar="D1,D2",
                          help="comma-separated cascade depths "
                               "(default: 1,2,3,4; depth counts the "

@@ -38,7 +38,7 @@ from repro.core.metadata import (
     metadata_path_for,
 )
 from repro.core.channel import FileChannel
-from repro.core.layers import ProxyLayer, ProxyStack, ProxyStats, standard_layers
+from repro.core.layers import ProxyLayer, ProxyStack, standard_layers
 from repro.core.proxy import GvfsProxy
 from repro.core.consistency import ConsistencySignal, MiddlewareConsistency
 from repro.core.profiler import (
@@ -67,7 +67,6 @@ __all__ = [
     "ProxyConfig",
     "ProxyLayer",
     "ProxyStack",
-    "ProxyStats",
     "Prefetcher",
     "ProxyFileCache",
     "standard_layers",

@@ -138,8 +138,8 @@ def set_pipeline_overrides(**knobs: Optional[int]) -> None:
     Accepts any of ``readahead_depth``, ``readahead_min_run``,
     ``write_coalesce_bytes``, ``write_pipeline_depth``; ``None`` leaves
     a knob at its dataclass default.  Applied by
-    :meth:`~repro.core.session.GvfsSession.build` and
-    :class:`~repro.core.session.SecondLevelCache`.
+    :func:`~repro.core.session.build_caching_proxy` (client sessions
+    and every cascade level).
     """
     for name, value in knobs.items():
         if name not in _PIPELINE_KNOBS:

@@ -19,9 +19,7 @@ from repro.core.layers.filechannel import FileChannelLayer
 from repro.core.layers.peers import PeerCacheLayer
 from repro.core.layers.readahead import ReadaheadLayer
 from repro.core.layers.stack import (
-    LEGACY_COUNTERS,
     ProxyStack,
-    ProxyStats,
     disable_stack_reports,
     enable_stack_reports,
     format_cascade_reports,
@@ -39,11 +37,9 @@ __all__ = [
     "ChecksumRegistry",
     "DegradedModeLayer",
     "FileChannelLayer",
-    "LEGACY_COUNTERS",
     "PeerCacheLayer",
     "ProxyLayer",
     "ProxyStack",
-    "ProxyStats",
     "ReadaheadLayer",
     "UpstreamRpcLayer",
     "ZeroMapLayer",

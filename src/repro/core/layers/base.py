@@ -23,9 +23,9 @@ The layer contract:
   invalidation that would race in-flight work.  Defaults are no-ops
   that add no events.
 * Per-layer counters live in a small dataclass named by the class
-  attribute ``Stats``; the stack aggregates them into the legacy flat
-  :class:`~repro.core.layers.stack.ProxyStats` view and into
-  ``stats_snapshot()`` / ``format_stack_report()``.
+  attribute ``Stats``; callers read them from the owning layer
+  (``stack.layer(role).stats``), and the stack collects every layer's
+  into ``stats_snapshot()`` / ``format_stack_report()``.
 * ``inject_fault(kind, arg)`` is the **fault port**: the chaos
   machinery (:mod:`repro.sim.faults`, :mod:`repro.sim.chaos`) strikes
   a named layer through it.  Layers opt in per kind; the base class
@@ -43,17 +43,15 @@ cross-layer helpers such as the cached meta-data map).
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from typing import Dict, Generator, Optional
 
 __all__ = ["ProxyLayer", "counter_names"]
 
 
 def counter_names(bag) -> list:
-    """Counter field names of a stats bag (dataclass or plain object)."""
-    if is_dataclass(bag):
-        return [f.name for f in fields(bag)]
-    return [name for name in vars(bag) if not name.startswith("_")]
+    """Counter field names of a stats bag (a dataclass instance)."""
+    return [f.name for f in fields(bag)]
 
 
 class ProxyLayer:

@@ -31,6 +31,19 @@ class ReadaheadStats:
     prefetch_failed: int = 0        # prefetches that returned no data
     readahead_windows: int = 0      # window launches by the run detector
 
+    @property
+    def prefetch_wasted(self) -> int:
+        """Prefetched blocks never consumed by a demand read (so far)."""
+        return max(self.prefetch_issued - self.prefetch_used
+                   - self.prefetch_failed, 0)
+
+    @property
+    def prefetch_accuracy(self) -> float:
+        """used / issued — the fraction of readahead that paid off."""
+        if self.prefetch_issued == 0:
+            return 0.0
+        return self.prefetch_used / self.prefetch_issued
+
 
 class ReadaheadLayer(ProxyLayer):
     """Run detection plus background prefetch windows."""

@@ -155,7 +155,8 @@ class Prefetcher:
 
     def _fetch_one(self, fh: FileHandle, index: int,
                    block_size: int) -> Generator:
-        self.proxy.register_prefetch((fh, index))
+        readahead = self.proxy.layer("readahead")
+        readahead.register_prefetch((fh, index))
         reply = yield from self.proxy.upstream.call(NfsRequest(
             NfsProc.READ, fh=fh, offset=index * block_size,
             count=block_size,
@@ -168,8 +169,8 @@ class Prefetcher:
                     victim)
             self.blocks_fetched += 1
         else:
-            self.proxy.stats.prefetch_failed += 1
-            self.proxy.layer("readahead").prefetched.discard((fh, index))
+            readahead.stats.prefetch_failed += 1
+            readahead.prefetched.discard((fh, index))
             self.blocks_skipped += 1
 
     def prefetch(self, profile: AccessProfile) -> Generator:
@@ -177,8 +178,7 @@ class Prefetcher:
         pending: List[Tuple[FileHandle, int]] = []
         for fsid, fileid, index in profile.blocks:
             key = (FileHandle(fsid, fileid), index)
-            cached = self.proxy.block_cache._where.get(key)
-            if cached is not None:
+            if key in self.proxy.block_cache:
                 self.blocks_skipped += 1
                 continue
             pending.append(key)
@@ -196,17 +196,18 @@ def format_pipeline_report(proxy) -> str:
     coalescing, and write coalescing — the middleware's view of whether
     the pipelined path is earning its keep for this session.
     """
-    s = proxy.stats
+    ra = proxy.layer("readahead").stats
+    bc = proxy.layer("block-cache").stats
     lines = [
         f"pipelined I/O — {proxy.config.name}",
-        f"  readahead windows : {s.readahead_windows}",
-        f"  prefetch issued   : {s.prefetch_issued}",
-        f"  prefetch used     : {s.prefetch_used}",
-        f"  prefetch failed   : {s.prefetch_failed}",
-        f"  prefetch wasted   : {s.prefetch_wasted}",
-        f"  prefetch accuracy : {s.prefetch_accuracy:.1%}",
-        f"  coalesced misses  : {s.coalesced_misses}",
-        f"  merged WRITE rpcs : {s.merged_write_rpcs}"
-        f" ({s.merged_write_blocks} blocks)",
+        f"  readahead windows : {ra.readahead_windows}",
+        f"  prefetch issued   : {ra.prefetch_issued}",
+        f"  prefetch used     : {ra.prefetch_used}",
+        f"  prefetch failed   : {ra.prefetch_failed}",
+        f"  prefetch wasted   : {ra.prefetch_wasted}",
+        f"  prefetch accuracy : {ra.prefetch_accuracy:.1%}",
+        f"  coalesced misses  : {bc.coalesced_misses}",
+        f"  merged WRITE rpcs : {bc.merged_write_rpcs}"
+        f" ({bc.merged_write_blocks} blocks)",
     ]
     return "\n".join(lines)

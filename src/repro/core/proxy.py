@@ -20,25 +20,26 @@ interface).
 
 Everything is transparent to the kernel client above and the server
 below: requests and replies are ordinary protocol messages.  All
-cache, readahead and degraded-mode logic lives in the layer modules;
-this module only assembles the stack and keeps the legacy surface
-(``stats``, ``_block_gates``, ``_metadata``, …) alive for middleware,
-profilers and tests written against the monolithic proxy.
+cache, readahead and degraded-mode logic lives in the layer modules,
+and so does every counter and piece of per-layer state: callers reach
+them through ``layer(role)`` (``layer("block-cache").gates``,
+``layer("metadata").cache``, ``layer("readahead").stats``, …) or
+:meth:`~repro.core.layers.ProxyStack.stats_snapshot`.  This module
+only assembles the standard stack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Optional
 
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import FileChannel
 from repro.core.config import ProxyConfig
-from repro.core.layers import ProxyStack, ProxyStats, standard_layers
-from repro.nfs.protocol import FileHandle
+from repro.core.layers import ProxyStack, standard_layers
 from repro.nfs.rpc import RpcClient
 from repro.sim import Environment
 
-__all__ = ["GvfsProxy", "ProxyStats"]
+__all__ = ["GvfsProxy"]
 
 
 class GvfsProxy(ProxyStack):
@@ -64,37 +65,3 @@ class GvfsProxy(ProxyStack):
                                          checksum=checksum,
                                          origin_selector=origin_selector,
                                          channel_selector=channel_selector))
-
-    # ----------------------------------------------------- legacy state views
-    @property
-    def _block_gates(self) -> Dict[Tuple[FileHandle, int], object]:
-        layer = self.layer("block-cache")
-        return layer.gates if layer is not None else {}
-
-    @property
-    def _fetching(self) -> Dict[FileHandle, object]:
-        layer = self.layer("file-channel")
-        return layer.fetching if layer is not None else {}
-
-    @property
-    def _metadata(self) -> Dict[FileHandle, object]:
-        return self.layer("metadata").cache
-
-    @property
-    def _names(self) -> Dict[FileHandle, Tuple[FileHandle, str]]:
-        return self.layer("attr-patch").names
-
-    @property
-    def _local_size(self) -> Dict[FileHandle, int]:
-        return self.layer("attr-patch").local_size
-
-    @property
-    def _prefetched(self) -> set:
-        return self.layer("readahead").prefetched
-
-    def register_prefetch(self, key: Tuple[FileHandle, int]) -> None:
-        self.layer("readahead").register_prefetch(key)
-
-    def _write_back_block(self, key, data: bytes) -> Generator:
-        return (yield from self.layer("block-cache")
-                .write_back_block(key, data))

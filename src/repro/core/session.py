@@ -11,8 +11,10 @@
 A :class:`GvfsSession` is what middleware builds per user: kernel
 client -> (loopback) -> client proxy [caches] -> (SSH tunnel) -> server
 proxy [identity map] -> (loopback) -> kernel NFS server.  A
-:class:`SecondLevelCache` inserts a LAN caching proxy into that chain
-(the WAN-S3 cloning scenario).
+:class:`CascadeLevel` inserts a caching proxy into that chain: on the
+LAN image server, reaching the origin across the WAN, it is the
+paper's second-level LAN cache (§3.2.3, the WAN-S3 cloning scenario),
+and :func:`build_cascade` stacks any number of them.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from repro.storage.localfs import LocalFileSystem
 from repro.storage.vfs import FsError, Inode
 
 __all__ = ["CascadeLevel", "CascadeLevelSpec", "GvfsSession", "LocalFile",
-           "LocalMount", "ProxyCascade", "Scenario", "SecondLevelCache",
-           "ServerEndpoint", "build_cascade", "build_caching_proxy",
-           "direct_file_channel"]
+           "LocalMount", "ProxyCascade", "Scenario", "ServerEndpoint",
+           "build_cascade", "build_caching_proxy", "direct_file_channel"]
 
 _session_counter = itertools.count(1)
 
@@ -322,26 +323,6 @@ class CascadeLevel:
                                          channel=self.channel)
 
 
-class SecondLevelCache(CascadeLevel):
-    """A caching GVFS proxy on a LAN server, shared by compute nodes.
-
-    "A second-level proxy cache can be setup on a LAN server ... to
-    further exploit the locality and provide high speed access to the
-    state of golden images" (§3.2.3).
-
-    The two-level special case of a :class:`CascadeLevel` cascade: one
-    intermediate level on the LAN image server, reaching the origin
-    across the WAN.  ``build_cascade(testbed, endpoint, levels=[spec])``
-    builds the identical wiring.
-    """
-
-    def __init__(self, testbed: Testbed, endpoint: ServerEndpoint,
-                 cache_config: Optional[ProxyCacheConfig] = None,
-                 name: str = "second-level"):
-        super().__init__(testbed, endpoint, host=testbed.lan_server,
-                         cache_config=cache_config, name=name, link="wan")
-
-
 @dataclass(frozen=True)
 class CascadeLevelSpec:
     """Declarative description of one cascade level for
@@ -392,10 +373,6 @@ class ProxyCascade:
     def depth(self) -> int:
         return len(self.levels) + 1
 
-    def stacks(self) -> List[GvfsProxy]:
-        """The levels' proxy stacks, client-ward first."""
-        return [level.proxy for level in self.levels]
-
     def reset(self) -> None:
         """Zero every level's counters (the client proxy, built per
         session, resets itself via ``ProxyStack.reset``)."""
@@ -435,9 +412,10 @@ def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
     (or a bare :class:`ProxyCacheConfig` as shorthand).  An empty list
     yields a depth-1 cascade — sessions then run a plain caching client
     proxy.  The origin-adjacent level defaults to the LAN image server
-    host reaching the origin across the WAN (exactly the classic
-    :class:`SecondLevelCache` wiring); additional client-ward levels
-    get their own LAN-attached hosts.
+    host reaching the origin across the WAN (exactly the §3.2.3
+    second-level cache, ``CascadeLevel(testbed, endpoint,
+    host=testbed.lan_server, link="wan")``); additional client-ward
+    levels get their own LAN-attached hosts.
     """
     specs = [spec if isinstance(spec, CascadeLevelSpec)
              else CascadeLevelSpec(cache_config=spec) for spec in levels]
@@ -559,14 +537,14 @@ class GvfsSession:
 
         ``endpoint`` names the image server side (defaults to the WAN
         server for WAN scenarios, the LAN server for LAN).  ``via``
-        interposes a cache cascade: a :class:`SecondLevelCache`, any
-        :class:`CascadeLevel`, or a whole :class:`ProxyCascade` (whose
-        top level is used; an empty cascade means no intermediate
-        levels).  ``cache_config`` overrides
-        the client cache geometry for WAN_CACHED (defaults to §4.1's
-        512 banks / 16-way / 8 GB).  ``shared_block_cache`` lets several
-        sessions on one host share a read-only cache of golden-image
-        blocks (§3.2.1); the proxy then forwards writes upstream.
+        interposes a cache cascade: any :class:`CascadeLevel` or a
+        whole :class:`ProxyCascade` (whose top level is used; an empty
+        cascade means no intermediate levels).  ``cache_config``
+        overrides the client cache geometry for WAN_CACHED (defaults to
+        §4.1's 512 banks / 16-way / 8 GB).  ``shared_block_cache`` lets
+        several sessions on one host share a read-only cache of
+        golden-image blocks (§3.2.1); the proxy then forwards writes
+        upstream.
 
         ``peer_directory`` (a :meth:`Testbed.peer_directory`) registers
         this session's block cache with the site's cooperative peer

@@ -31,8 +31,10 @@ Each (depth, policy, workload) cell is an independent deterministic
 simulation.  The report also carries two *equivalence* checks that the
 cascade machinery is pure generalization, compared bit-identically on
 simulated clone times: depth 1 (``build_cascade(levels=[])``) against
-a plain WAN+C session, and depth 2 against the literal
-:class:`~repro.core.session.SecondLevelCache`.  ``check_report`` turns
+a plain WAN+C session, and depth 2 against the §3.2.3 second-level
+cache wired by hand (a :class:`~repro.core.session.CascadeLevel` on
+the LAN image server, reaching the origin across the WAN).
+``check_report`` turns
 violated guarantees (a starved level, an equivalence mismatch) into
 failures — the CI cascade-smoke gate.
 """
@@ -53,7 +55,6 @@ from repro.core.session import (
     GvfsSession,
     LocalMount,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
     build_cascade,
 )
@@ -176,8 +177,8 @@ def _run_cold_clone(depth: int, policy: str, quick: bool,
                     make_via: Optional[Callable] = None) -> Dict:
     """One cold-clone cell.  ``make_via(testbed, endpoint)`` overrides
     cascade construction and returns ``(via, levels)`` — the
-    equivalence checks use it to swap in a literal SecondLevelCache or
-    a plain session."""
+    equivalence checks use it to swap in a hand-wired second-level
+    cache or a plain session."""
     hot_mb, scan_mb, steady = _CLONE_SCALE[quick]
     testbed = make_paper_testbed()
     env = testbed.env
@@ -299,11 +300,14 @@ def _equivalence_depth1(quick: bool) -> Dict:
 
 
 def _equivalence_depth2(quick: bool) -> Dict:
-    """Depth-2 ``build_cascade`` == the literal SecondLevelCache."""
+    """Depth-2 ``build_cascade`` == the hand-wired second-level cache
+    (one level on the LAN image server, WAN hop to the origin)."""
     config = _level_configs(2, "lru", quick)[0]
 
     def second_level(testbed, endpoint):
-        level = SecondLevelCache(testbed, endpoint, cache_config=config)
+        level = CascadeLevel(testbed, endpoint, host=testbed.lan_server,
+                             cache_config=config, name="second-level",
+                             link="wan")
         return level, [level]
     cascaded = _run_cold_clone(2, "lru", quick)
     classic = _run_cold_clone(2, "lru", quick, make_via=second_level)
@@ -312,7 +316,7 @@ def _equivalence_depth2(quick: bool) -> Dict:
                    == [{k: v for k, v in row.items() if k != "name"}
                        for row in classic["levels"]])
     return {
-        "what": "depth-2 build_cascade vs SecondLevelCache",
+        "what": "depth-2 build_cascade vs hand-wired second-level cache",
         "clone_seconds_identical":
             cascaded["clone_seconds"] == classic["clone_seconds"],
         "total_identical":

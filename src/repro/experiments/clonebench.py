@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.session import (
+    CascadeLevel,
     GvfsSession,
     LocalMount,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
 )
 from repro.net.topology import Testbed, make_paper_testbed
@@ -146,7 +146,9 @@ def run_cloning_benchmark(scenario: CloneScenario,
 
     second_level = None
     if scenario is CloneScenario.WAN_S3:
-        second_level = SecondLevelCache(testbed, endpoint)
+        second_level = CascadeLevel(testbed, endpoint,
+                                    host=testbed.lan_server,
+                                    name="second-level", link="wan")
 
     def make_rig(compute_index: int):
         session = GvfsSession.build(testbed, Scenario.WAN_CACHED,

@@ -266,7 +266,8 @@ def _proxy_restart_once(journal: bool, quick: bool, seed: int,
     return {
         "journal": journal,
         "absorbed_dirty_blocks": box["absorbed"],
-        "recovered_blocks": proxy.stats.recovered_dirty_blocks,
+        "recovered_blocks":
+            proxy.layer("block-cache").stats.recovered_dirty_blocks,
         "journal_appends": proxy.block_cache.journal_appends,
         "recovery_s": box["flush_done"] - crash_at,
         "lost_writes": _lost_blocks(server_bytes, payload, block_size),

@@ -24,9 +24,9 @@ Workloads
     A write-back session absorbs a burst of dirty blocks over several
     files, then the middleware signals a flush: exercises coalesced
     write-back (``dirty_runs``/``read_many``) and the RPC write path.
-    A small warm-up burst runs first; :meth:`ProxyStats.reset` and
-    :meth:`ProxyBlockCache.reset_stats` separate it from the measured
-    phase instead of rebuilding the session.
+    A small warm-up burst runs first; :meth:`ProxyStack.reset` (every
+    layer's counters, the block cache's included) separates it from
+    the measured phase instead of rebuilding the session.
 ``clone_storm``
     One fleetbench site absorbing a staggered burst of full VM
     sessions (lease, match, GVFS, clone, resume, flush, release)

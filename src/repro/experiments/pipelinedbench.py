@@ -116,12 +116,13 @@ def run_read_sweep(depths: Sequence[int] = (0, 1, 4, 8, 16),
             return env.now - t0
 
         seconds = _drive(testbed, job(testbed.env))
-        s = session.client_proxy.stats
+        ra = session.client_proxy.layer("readahead").stats
+        blocks = session.client_proxy.layer("block-cache").stats
         results[depth] = ReadPoint(depth=depth, seconds=seconds,
-                                   prefetch_issued=s.prefetch_issued,
-                                   prefetch_used=s.prefetch_used,
-                                   prefetch_accuracy=s.prefetch_accuracy,
-                                   coalesced_misses=s.coalesced_misses)
+                                   prefetch_issued=ra.prefetch_issued,
+                                   prefetch_used=ra.prefetch_used,
+                                   prefetch_accuracy=ra.prefetch_accuracy,
+                                   coalesced_misses=blocks.coalesced_misses)
     return results
 
 
@@ -137,6 +138,7 @@ def _flush_once(file_mb: int, coalesce_bytes: int,
         clear_pipeline_overrides()
         set_pipeline_overrides(**prev)
     proxy = session.client_proxy
+    blocks = proxy.layer("block-cache").stats
 
     def job(env):
         f = yield env.process(session.mount.create("/images/app/scratch"))
@@ -153,7 +155,7 @@ def _flush_once(file_mb: int, coalesce_bytes: int,
         return proxy.upstream.stats.by_proc.get("WRITE", 0) - before, \
             env.now - t0
 
-    return _drive(testbed, job(testbed.env)), proxy.stats
+    return _drive(testbed, job(testbed.env)), blocks
 
 
 def run_flush_comparison(file_mb: int = 32,

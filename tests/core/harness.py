@@ -2,7 +2,7 @@
 a seeded image server and session builders per scenario."""
 
 from repro.core.config import CachePolicy, ProxyCacheConfig
-from repro.core.session import GvfsSession, Scenario, SecondLevelCache, ServerEndpoint
+from repro.core.session import CascadeLevel, GvfsSession, Scenario, ServerEndpoint
 from repro.net.topology import Testbed
 from repro.nfs.client import MountOptions
 from repro.sim import Environment
@@ -11,6 +11,15 @@ from repro.vm.image import VmConfig, VmImage
 #: A small, fast test cache geometry (64 MB, 32 banks, 4-way).
 SMALL_CACHE = ProxyCacheConfig(capacity_bytes=64 * 1024 * 1024,
                                n_banks=32, associativity=4)
+
+
+def second_level_cache(testbed, endpoint, cache_config):
+    """The paper's second-level LAN cache (§3.2.3), wired explicitly:
+    one cascade level on the LAN image server, reaching the origin
+    across the WAN."""
+    return CascadeLevel(testbed, endpoint, host=testbed.lan_server,
+                        cache_config=cache_config, name="second-level",
+                        link="wan")
 
 
 class Rig:
@@ -22,8 +31,8 @@ class Rig:
         self.testbed = Testbed(Environment(), n_compute=n_compute)
         self.env = self.testbed.env
         self.endpoint = ServerEndpoint(self.env, self.testbed.wan_server)
-        self.second_level = (SecondLevelCache(self.testbed, self.endpoint,
-                                              SMALL_CACHE)
+        self.second_level = (second_level_cache(self.testbed, self.endpoint,
+                                                SMALL_CACHE)
                              if via_second_level else None)
         self.image = VmImage.create(
             self.endpoint.export.fs, "/images/golden",

@@ -136,9 +136,9 @@ def test_clean_eviction_demotes_exactly_once(no_readahead):
     # the proxy tiers.
     session.mount.drop_caches()
     origin_reads = l2.proxy.upstream.stats.by_proc.get("READ", 0)
-    hits_before = l2.proxy.stats.block_cache_hits
+    hits_before = l2_layer.stats.block_cache_hits
     run(testbed, read_blocks(session, [0])(testbed.env))
-    assert l2.proxy.stats.block_cache_hits == hits_before + 1
+    assert l2_layer.stats.block_cache_hits == hits_before + 1
     assert l2.proxy.upstream.stats.by_proc.get("READ", 0) == origin_reads
 
 

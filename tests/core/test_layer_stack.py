@@ -1,7 +1,7 @@
 """The composable proxy stack: composition equivalence against the
-hand-wired SecondLevelCache path, lifecycle propagation through every
-layer, the aggregated ProxyStats view, uniform reset, stack reports,
-and the quiesce/invalidate coverage of file-channel fetch gates."""
+explicitly wired second-level cache, lifecycle propagation through
+every layer, uniform reset, stack reports, and the quiesce/invalidate
+coverage of file-channel fetch gates."""
 
 import pytest
 
@@ -26,7 +26,6 @@ from repro.core.layers import (
 from repro.core.session import (
     GvfsSession,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
     direct_file_channel,
 )
@@ -36,7 +35,7 @@ from repro.nfs.protocol import FileHandle, NfsProc, NfsReply, NfsRequest, NfsSta
 from repro.nfs.rpc import RpcClient
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE, Rig
+from tests.core.harness import SMALL_CACHE, Rig, second_level_cache
 
 BS = 8192
 PATH = "/images/golden/disk.vmdk"
@@ -44,11 +43,11 @@ PATH = "/images/golden/disk.vmdk"
 
 # --------------------------------------------------------------------------
 # Composition equivalence: a hand-composed two-level ProxyStack must be
-# byte- and time-identical to the SecondLevelCache wrapper.
+# byte- and time-identical to the second-level CascadeLevel.
 # --------------------------------------------------------------------------
 
 class ComposedSecondLevel:
-    """The SecondLevelCache wiring, but with the proxy built as a raw
+    """The second-level cache wiring, but with the proxy built as a raw
     ProxyStack from an explicit layer list (no GvfsProxy involved)."""
 
     def __init__(self, testbed, endpoint, cache_config,
@@ -122,7 +121,7 @@ def _drive_two_level(testbed, sessions):
 
 def test_composed_two_level_stack_matches_second_level_cache():
     t_ref, img_ref, second_ref, sess_ref = _two_level_universe(
-        SecondLevelCache)
+        second_level_cache)
     t_new, img_new, second_new, sess_new = _two_level_universe(
         ComposedSecondLevel)
 
@@ -133,8 +132,8 @@ def test_composed_two_level_stack_matches_second_level_cache():
     assert trace_new == trace_ref
     assert t_new.env.now == t_ref.env.now
 
-    # The raw composed stack and the wrapper agree on every counter of
-    # both proxy levels.
+    # The raw composed stack and the CascadeLevel agree on every counter
+    # of both proxy levels.
     for new, ref in ((second_new.proxy, second_ref.proxy),
                      (sess_new[0].client_proxy, sess_ref[0].client_proxy),
                      (sess_new[1].client_proxy, sess_ref[1].client_proxy)):
@@ -214,7 +213,7 @@ def test_handle_flows_top_down_through_every_layer():
     assert got is reply
     assert log == [("top", "handle"), ("mid", "handle"),
                    ("bottom", "handle")]
-    assert stack.stats.requests == 1
+    assert stack.front_stats.requests == 1
 
 
 def test_lifecycle_hooks_propagate_bottom_up_through_every_layer():
@@ -251,50 +250,6 @@ def test_invalidate_guard_vetoes_before_any_layer_mutates():
 
 
 # --------------------------------------------------------------------------
-# The aggregated ProxyStats view
-# --------------------------------------------------------------------------
-
-def test_stats_view_routes_reads_and_writes_to_owning_layers():
-    rig = Rig(metadata=False)
-    proxy = rig.session.client_proxy
-
-    proxy.stats.prefetch_failed += 1
-    assert proxy.layer("readahead").stats.prefetch_failed == 1
-
-    # absorbed_writes is owned by both the file-channel and block-cache
-    # layers: reads sum, writes land on the first owner.
-    proxy.layer("file-channel").stats.absorbed_writes = 2
-    proxy.layer("block-cache").stats.absorbed_writes = 3
-    assert proxy.stats.absorbed_writes == 5
-    proxy.stats.absorbed_writes = 10
-    assert proxy.layer("file-channel").stats.absorbed_writes == 7
-    assert proxy.layer("block-cache").stats.absorbed_writes == 3
-    assert proxy.stats.absorbed_writes == 10
-
-    proxy.stats.reset()
-    assert proxy.stats.absorbed_writes == 0
-    assert proxy.stats.prefetch_failed == 0
-
-    with pytest.raises(AttributeError):
-        proxy.stats.no_such_counter
-    with pytest.raises(AttributeError):
-        proxy.stats.no_such_counter = 1
-
-
-def test_cacheless_stack_still_exposes_every_legacy_counter():
-    from repro.core.layers import LEGACY_COUNTERS
-    rig = Rig(metadata=False)
-    server_proxy = rig.endpoint.proxy     # forwarding-only stack
-    for name in LEGACY_COUNTERS:
-        assert isinstance(getattr(server_proxy.stats, name), int)
-    # Cache counters have no owning layer here: they read as zero and
-    # stay writable (middleware compatibility).
-    assert server_proxy.stats.block_cache_misses == 0
-    server_proxy.stats.prefetch_failed += 1
-    assert server_proxy.stats.prefetch_failed == 1
-
-
-# --------------------------------------------------------------------------
 # Uniform reset and stack reports
 # --------------------------------------------------------------------------
 
@@ -309,13 +264,13 @@ def test_stack_reset_zeroes_every_layer_and_component():
         yield env.process(f.write(0, b"x" * BS))
 
     rig.run(job(rig.env))
-    assert proxy.stats.requests > 0
+    assert proxy.front_stats.requests > 0
     assert proxy.block_cache.hits + proxy.block_cache.misses > 0
 
     proxy.reset()
-    assert proxy.stats.requests == 0
-    assert proxy.stats.forwarded == 0
-    assert proxy.stats.block_cache_misses == 0
+    assert proxy.front_stats.requests == 0
+    assert proxy.layer("upstream-rpc").stats.forwarded == 0
+    assert proxy.layer("block-cache").stats.block_cache_misses == 0
     assert proxy.block_cache.hits == 0
     assert proxy.block_cache.misses == 0
     assert proxy.channel.fetches == 0
@@ -353,9 +308,10 @@ def test_stats_snapshot_groups_counters_by_layer():
 
     rig.run(job(rig.env))
     snap = proxy.stats_snapshot()
-    assert snap["front"]["requests"] == proxy.stats.requests
+    assert snap["front"]["requests"] == proxy.front_stats.requests
     assert snap["block-cache"]["block_cache_misses"] >= 1
-    assert snap["upstream-rpc"]["forwarded"] == proxy.stats.forwarded
+    assert (snap["upstream-rpc"]["forwarded"]
+            == proxy.layer("upstream-rpc").stats.forwarded)
 
 
 # --------------------------------------------------------------------------
@@ -373,13 +329,14 @@ def test_cold_caches_waits_for_inflight_file_channel_fetch():
     rig = Rig()
     rig.image.generate_metadata()         # mem.vmss routes via the channel
     proxy = rig.session.client_proxy
+    files = proxy.layer("file-channel")
     fh = FileHandle("images", rig.image.memory_inode.fileid)
     block = _nonzero_block(rig)
 
     def job(env):
         f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
         reader = env.process(f.read(block * BS, BS))
-        while not proxy._fetching:        # let the channel fetch start
+        while not files.fetching:         # let the channel fetch start
             yield env.timeout(0.0005)
         yield env.process(rig.session.cold_caches())
         yield reader
@@ -387,8 +344,8 @@ def test_cold_caches_waits_for_inflight_file_channel_fetch():
     rig.run(job(rig.env))
     # The fetch was waited out (quiesce) and its install dropped
     # (invalidate): the cache really is cold, nothing repopulated it.
-    assert proxy.stats.channel_fetches == 1
-    assert not proxy._fetching
+    assert files.stats.channel_fetches == 1
+    assert not files.fetching
     assert fh not in proxy.channel.file_cache
 
 
@@ -396,12 +353,13 @@ def test_invalidate_refuses_while_file_fetch_in_flight():
     rig = Rig()
     rig.image.generate_metadata()
     proxy = rig.session.client_proxy
+    files = proxy.layer("file-channel")
     block = _nonzero_block(rig)
 
     def job(env):
         f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
         reader = env.process(f.read(block * BS, BS))
-        while not proxy._fetching:
+        while not files.fetching:
             yield env.timeout(0.0005)
         with pytest.raises(RuntimeError, match="quiesce first"):
             proxy.invalidate_caches()

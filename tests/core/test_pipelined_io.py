@@ -6,6 +6,7 @@ from repro.core.config import (
     clear_pipeline_overrides,
     set_pipeline_overrides,
 )
+from repro.core.layers.readahead import ReadaheadLayer, ReadaheadStats
 from repro.core.profiler import format_pipeline_report
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest, NfsStatus
 from repro.sim import AllOf
@@ -38,9 +39,27 @@ def test_concurrent_cold_reads_coalesce_to_one_upstream_rpc():
     assert len({r.data for r in replies}) == 1
     # Exactly one upstream READ: the other seven waited on the gate.
     assert proxy.upstream.stats.by_proc.get("READ", 0) == 1
-    assert proxy.stats.coalesced_misses == 7
-    assert proxy.stats.block_cache_misses == 1
-    assert proxy.stats.block_cache_hits == 7
+    blocks = proxy.layer("block-cache").stats
+    assert blocks.coalesced_misses == 7
+    assert blocks.block_cache_misses == 1
+    assert blocks.block_cache_hits == 7
+
+
+def test_readahead_stats_accuracy_and_waste():
+    stats = ReadaheadStats()
+    assert stats.prefetch_accuracy == 0.0     # nothing issued: no ratio
+    assert stats.prefetch_wasted == 0
+    stats.prefetch_issued, stats.prefetch_used = 4, 3
+    assert stats.prefetch_accuracy == 0.75
+    assert stats.prefetch_wasted == 1
+    stats.prefetch_failed = 2                 # used + failed > issued
+    assert stats.prefetch_wasted == 0         # clamped, never negative
+    # Derived values are properties, not counters: snapshots and
+    # resets see only the four booked fields.
+    layer = ReadaheadLayer()
+    assert set(layer.stats_snapshot()) == {
+        "prefetch_issued", "prefetch_used", "prefetch_failed",
+        "readahead_windows"}
 
 
 def test_readahead_accelerates_cold_sequential_reads():
@@ -63,8 +82,9 @@ def test_readahead_accelerates_cold_sequential_reads():
 
     serial, base = timed(0)
     pipelined, proxy = timed(8)
-    stats = proxy.stats
-    assert base.stats.prefetch_issued == 0    # depth 0 really disables it
+    stats = proxy.layer("readahead").stats
+    # depth 0 really disables it
+    assert base.layer("readahead").stats.prefetch_issued == 0
     assert pipelined * 2 < serial
     assert stats.readahead_windows >= 1
     assert stats.prefetch_used > 0
@@ -107,8 +127,8 @@ def test_failed_prefetch_releases_gates_and_later_reads_succeed():
     replies, _ = rig.run(job(rig.env))
     assert all(r.ok for r in replies)
     assert state["fails"] == 1
-    assert proxy.stats.prefetch_failed >= 1
-    assert not proxy._block_gates             # nothing left wedged
+    assert proxy.layer("readahead").stats.prefetch_failed >= 1
+    assert not proxy.layer("block-cache").gates             # nothing left wedged
 
     def later(env):
         return (yield from proxy.handle(NfsRequest(
@@ -133,8 +153,8 @@ def test_rpc_timeout_on_demand_miss_returns_clean_error():
     # The retransmission ladder exhausts and the client gets a clean IO
     # error — no hang, no wedged miss gate.
     assert reply.status is NfsStatus.IO
-    assert proxy.stats.degraded_read_errors == 1
-    assert not proxy._block_gates
+    assert proxy.layer("fault-guard").stats.degraded_read_errors == 1
+    assert not proxy.layer("block-cache").gates
 
 
 def test_rpc_timeout_during_readahead_releases_gates():
@@ -158,14 +178,14 @@ def test_rpc_timeout_during_readahead_releases_gates():
             NfsProc.READ, fh=fh, offset=BS, count=BS))   # opens the window
         assert second.status is NfsStatus.IO
         yield env.timeout(2.0)            # let every prefetch ladder exhaust
-        assert not proxy._block_gates     # failed fetches freed their gates
+        assert not proxy.layer("block-cache").gates     # failed fetches freed their gates
         rig.endpoint.server.restart()
         return (yield from proxy.handle(NfsRequest(
             NfsProc.READ, fh=fh, offset=5 * BS, count=BS)))
 
     reply, _ = rig.run(job(rig.env))
     assert reply.ok and len(reply.data) == BS
-    assert proxy.stats.prefetch_failed >= 1
+    assert proxy.layer("readahead").stats.prefetch_failed >= 1
 
 
 def test_dirty_eviction_writes_back_before_flush():
@@ -188,7 +208,7 @@ def test_dirty_eviction_writes_back_before_flush():
     # the two still-cached blocks did not.
     assert server_fs.read(PATH, 0, BS) == block(1)
     assert server_fs.read(PATH, BS, BS) != block(2)
-    assert proxy.stats.writebacks == 1
+    assert proxy.layer("block-cache").stats.writebacks == 1
     assert sorted(k[1] for k in proxy.block_cache.dirty_blocks(fh)) == [1, 2]
 
     rig.run(proxy.flush())
@@ -196,8 +216,9 @@ def test_dirty_eviction_writes_back_before_flush():
     assert server_fs.read(PATH, 2 * BS, BS) == block(3)
     assert not proxy.block_cache.dirty_blocks()
     # The two adjacent dirty blocks went upstream as one merged WRITE.
-    assert proxy.stats.merged_write_rpcs == 1
-    assert proxy.stats.merged_write_blocks == 2
+    blocks = proxy.layer("block-cache").stats
+    assert blocks.merged_write_rpcs == 1
+    assert blocks.merged_write_blocks == 2
 
 
 def test_cold_caches_quiesces_inflight_readahead():
@@ -210,9 +231,9 @@ def test_cold_caches_quiesces_inflight_readahead():
             yield env.process(f.read(b * BS, BS))
         # The window keeps running ahead of the reader: fetches for
         # blocks past 3 are still on the wire at this instant.
-        assert proxy._block_gates
+        assert proxy.layer("block-cache").gates
         yield env.process(rig.session.cold_caches())
 
     rig.run(job(rig.env))
-    assert not proxy._block_gates
+    assert not proxy.layer("block-cache").gates
     assert proxy.block_cache.cached_blocks == 0

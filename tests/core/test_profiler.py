@@ -156,7 +156,8 @@ def test_profile_then_prefetch_accelerates_cold_session():
     # Demand reads after prefetch hit the proxy cache; what remains is
     # the open-time LOOKUP walk over the WAN (~3 round trips).
     assert run_time < demand_time / 4
-    assert rig3.session.client_proxy.stats.block_cache_hits >= len(blocks)
+    blocks_layer = rig3.session.client_proxy.layer("block-cache")
+    assert blocks_layer.stats.block_cache_hits >= len(blocks)
 
 
 def test_prefetch_skips_already_cached_blocks():

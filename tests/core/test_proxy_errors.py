@@ -33,8 +33,9 @@ def test_corrupt_metadata_file_is_negative_cached():
         f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
         yield env.process(f.read(0, 8192))
         proxy = rig.session.client_proxy
-        fh = next(iter(proxy._metadata))
-        return proxy._metadata[fh], proxy.stats.zero_filtered_reads
+        zero = proxy.layer("metadata")
+        fh = next(iter(zero.cache))
+        return zero.cache[fh], zero.stats.zero_filtered_reads
 
     (cached_meta, filtered), _ = rig.run(proc(rig.env))
     assert cached_meta is None        # parse failure -> known-absent

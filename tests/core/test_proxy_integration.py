@@ -54,7 +54,8 @@ def test_zero_blocks_filtered_locally():
 
     value, _ = rig.run(proc(rig.env))
     assert value == bytes(8192)
-    assert rig.session.client_proxy.stats.zero_filtered_reads >= 1
+    zero = rig.session.client_proxy.layer("metadata")
+    assert zero.stats.zero_filtered_reads >= 1
 
 
 def test_zero_filtered_read_returns_the_shared_zero_chunk():
@@ -98,7 +99,8 @@ def test_zero_filter_count_matches_metadata():
             offset += len(data)
 
     rig.run(proc(rig.env))
-    assert rig.session.client_proxy.stats.zero_filtered_reads == n_zero
+    zero = rig.session.client_proxy.layer("metadata")
+    assert zero.stats.zero_filtered_reads == n_zero
 
 
 def test_file_channel_fetch_serves_whole_file():
@@ -120,7 +122,7 @@ def test_file_channel_fetch_serves_whole_file():
 
     value, _ = rig.run(proc(rig.env))
     assert value == golden.read(0, golden.size)
-    stats = rig.session.client_proxy.stats
+    stats = rig.session.client_proxy.layer("file-channel").stats
     assert stats.channel_fetches == 1
     assert stats.file_cache_reads > 0
 
@@ -149,9 +151,10 @@ def test_block_cache_hit_on_second_read():
         yield env.process(f.read(0, 8192))
         rig.mount.drop_caches()  # defeat the kernel buffer cache
         f2 = yield env.process(rig.mount.open("/images/golden/disk.vmdk"))
-        before = rig.session.client_proxy.stats.block_cache_hits
+        blocks = rig.session.client_proxy.layer("block-cache").stats
+        before = blocks.block_cache_hits
         yield env.process(f2.read(0, 8192))
-        return before, rig.session.client_proxy.stats.block_cache_hits
+        return before, blocks.block_cache_hits
 
     (before, after), _ = rig.run(proc(rig.env))
     assert after == before + 1
@@ -191,7 +194,8 @@ def test_write_back_absorbs_writes_locally():
     # Data was absorbed by the proxy: fast, and not yet at the server.
     assert elapsed < 0.030  # under one WAN round trip
     assert server_view == b""
-    assert rig.session.client_proxy.stats.absorbed_writes >= 1
+    blocks = rig.session.client_proxy.layer("block-cache")
+    assert blocks.stats.absorbed_writes >= 1
 
 
 def test_flush_pushes_dirty_blocks_to_server():
@@ -206,7 +210,8 @@ def test_flush_pushes_dirty_blocks_to_server():
 
     value, _ = rig.run(proc(rig.env))
     assert value == b"R" * 8192
-    assert rig.session.client_proxy.stats.writebacks >= 1
+    blocks = rig.session.client_proxy.layer("block-cache")
+    assert blocks.stats.writebacks >= 1
 
 
 def test_read_your_writes_through_write_back_proxy():
@@ -249,7 +254,8 @@ def test_commit_absorbed_in_write_back_mode():
         yield env.process(f.close())  # close issues COMMIT
 
     rig.run(proc(rig.env))
-    assert rig.session.client_proxy.stats.absorbed_commits >= 1
+    blocks = rig.session.client_proxy.layer("block-cache")
+    assert blocks.stats.absorbed_commits >= 1
 
 
 def test_invalidate_refuses_dirty_then_succeeds_after_flush():

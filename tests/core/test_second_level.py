@@ -6,14 +6,13 @@ import pytest
 from repro.core.session import (
     GvfsSession,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
     build_cascade,
 )
 from repro.net.topology import Testbed
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE
+from tests.core.harness import SMALL_CACHE, second_level_cache
 
 
 def make_rig(n_compute=2):
@@ -22,7 +21,7 @@ def make_rig(n_compute=2):
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                                     seed=47))
-    second = SecondLevelCache(testbed, endpoint, SMALL_CACHE)
+    second = second_level_cache(testbed, endpoint, SMALL_CACHE)
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=SMALL_CACHE, via=second)
@@ -64,7 +63,7 @@ def test_second_compute_node_hits_lan_not_wan():
     box = run(testbed, read_block(sessions[1], 0)(testbed.env))
     # compute1's miss was served by the LAN proxy's block cache: only
     # its own LOOKUP/GETATTR traffic reached the WAN server.
-    assert second.proxy.stats.block_cache_hits >= 1
+    assert second.proxy.layer("block-cache").stats.block_cache_hits >= 1
     reads_at_server = endpoint.server.calls - server_calls_before
     assert box["value"] == image.disk_inode.data.read(0, 8192)
     # No READ went to the origin for that block.
@@ -129,9 +128,10 @@ def _read_sequence(via_factory, n_compute=2):
 
 def test_depth2_cascade_matches_second_level_cache_goldens():
     """A depth-2 ``build_cascade`` must stay byte- and simulated-time-
-    identical to the literal ``SecondLevelCache`` wiring."""
+    identical to the explicitly wired second-level cache (a
+    ``CascadeLevel`` on the LAN image server with a WAN hop)."""
     def classic(testbed, endpoint):
-        level = SecondLevelCache(testbed, endpoint, SMALL_CACHE)
+        level = second_level_cache(testbed, endpoint, SMALL_CACHE)
         return level, [level]
 
     def cascaded(testbed, endpoint):

@@ -37,9 +37,10 @@ def test_shared_cache_serves_across_sessions():
 
     def reread(env):
         f = yield env.process(s3.mount.open("/images/golden/disk.vmdk"))
-        before = s3.client_proxy.stats.block_cache_hits
+        blocks = s3.client_proxy.layer("block-cache").stats
+        before = blocks.block_cache_hits
         yield env.process(f.read(0, 8192))
-        return before, s3.client_proxy.stats.block_cache_hits
+        return before, blocks.block_cache_hits
 
     (before, after), _ = rig.run(reread(rig.env))
     assert after == before + 1  # hit on the *other* session's fill
@@ -55,7 +56,8 @@ def test_shared_cache_sessions_forward_writes():
 
     rig.run(proc(rig.env))
     # The write went upstream (no write-back absorb possible).
-    assert s2.client_proxy.stats.absorbed_writes == 0
+    assert s2.client_proxy.layer("file-channel").stats.absorbed_writes == 0
+    assert s2.client_proxy.layer("block-cache").stats.absorbed_writes == 0
     assert rig.endpoint.export.fs.read("/images/golden/out.bin") \
         == b"shared-write"
 
@@ -152,9 +154,21 @@ def test_collect_session_stats_aggregates_chain():
             offset += len(data)
         # Hit the buffer cache once.
         yield env.process(f.read(0, 8192))
+        # One write lands in the whole-file cache (mem.vmss came through
+        # the channel), two in the block cache (a file the channel
+        # never fetched).
+        yield env.process(f.write_sync(0, b"M" * 8192))
+        g = yield env.process(rig.mount.create("/images/golden/new.bin"))
+        yield env.process(g.write_sync(0, b"N" * 8192))
+        yield env.process(g.write_sync(8192, b"N" * 8192))
 
     rig.run(proc(rig.env))
     stats = collect_session_stats(rig.session)
+    files = rig.session.client_proxy.layer("file-channel").stats
+    blocks = rig.session.client_proxy.layer("block-cache").stats
+    assert files.absorbed_writes == 1
+    assert blocks.absorbed_writes == 2
+    assert stats.absorbed_writes == 3     # both layers' counters summed
     assert stats.rpc_calls > 0
     assert stats.zero_filtered_reads > 0
     assert stats.channel_fetches == 1

@@ -25,7 +25,9 @@ def test_write_through_reaches_server_immediately():
 
     value, _ = rig.run(proc(rig.env))
     assert value == b"through"
-    assert rig.session.client_proxy.stats.absorbed_writes == 0
+    proxy = rig.session.client_proxy
+    assert proxy.layer("file-channel").stats.absorbed_writes == 0
+    assert proxy.layer("block-cache").stats.absorbed_writes == 0
 
 
 def test_write_through_still_caches_for_reads():
@@ -36,9 +38,10 @@ def test_write_through_still_caches_for_reads():
         yield env.process(f.write_sync(0, b"X" * 8192))
         rig.mount.drop_caches()
         f2 = yield env.process(rig.mount.open("/images/golden/wt.bin"))
-        before = rig.session.client_proxy.stats.block_cache_hits
+        blocks = rig.session.client_proxy.layer("block-cache").stats
+        before = blocks.block_cache_hits
         data = yield env.process(f2.read(0, 8192))
-        return before, rig.session.client_proxy.stats.block_cache_hits, data
+        return before, blocks.block_cache_hits, data
 
     (before, after, data), _ = rig.run(proc(rig.env))
     assert after == before + 1     # the written block was cached
@@ -74,7 +77,8 @@ def test_write_through_commit_forwarded():
         yield env.process(f.close())
 
     rig.run(proc(rig.env))
-    assert rig.session.client_proxy.stats.absorbed_commits == 0
+    blocks = rig.session.client_proxy.layer("block-cache")
+    assert blocks.stats.absorbed_commits == 0
 
 
 def test_write_through_flush_has_nothing_to_do():

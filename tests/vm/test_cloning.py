@@ -106,16 +106,17 @@ def test_second_clone_faster_than_first():
 def test_clone_uses_file_channel_when_metadata_present():
     rig = CloneRig(metadata=True)
     rig.run(rig.manager.clone("/images/golden", "/clones/c1"))
-    assert rig.session.client_proxy.stats.channel_fetches == 1
-    assert rig.session.client_proxy.stats.zero_filtered_reads > 0
+    proxy = rig.session.client_proxy
+    assert proxy.layer("file-channel").stats.channel_fetches == 1
+    assert proxy.layer("metadata").stats.zero_filtered_reads > 0
 
 
 def test_clone_without_metadata_goes_block_by_block():
     rig = CloneRig(metadata=False)
     rig.run(rig.manager.clone("/images/golden", "/clones/c1"))
-    stats = rig.session.client_proxy.stats
-    assert stats.channel_fetches == 0
-    assert stats.block_cache_misses > 0
+    proxy = rig.session.client_proxy
+    assert proxy.layer("file-channel").stats.channel_fetches == 0
+    assert proxy.layer("block-cache").stats.block_cache_misses > 0
 
 
 def test_metadata_clone_faster_than_block_clone():
@@ -169,5 +170,6 @@ def test_clone_memory_tracks_payload_not_zero_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rig.session.client_proxy.stats.zero_filtered_reads > 0
+    zero = rig.session.client_proxy.layer("metadata")
+    assert zero.stats.zero_filtered_reads > 0
     assert peak - base < 2 * payload
